@@ -5,13 +5,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use skippub_core::checker::{self, CheckScratch};
-use skippub_core::pubsub::{MultiTopicBackend, SystemBuilder};
+use skippub_core::pubsub::{ShardedBackend, SystemBuilder};
 use skippub_core::{scenarios, ProtocolConfig, PubSub, TopicId};
 
 const N: u64 = 1_000;
 const TOPICS: u32 = 16;
 
-fn steady_multi(full: bool) -> MultiTopicBackend {
+fn steady_multi(full: bool) -> ShardedBackend {
     let mut ps = SystemBuilder::new(0xBE7C4).topics(TOPICS).build_multi();
     for i in 0..N {
         ps.subscribe(TopicId((i % TOPICS as u64) as u32));

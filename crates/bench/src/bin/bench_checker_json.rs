@@ -31,8 +31,7 @@
 //! ```
 
 use skippub_bench::legacy_checker as legacy;
-use skippub_core::pubsub::{MultiTopicBackend, ShardedBackend, SystemBuilder};
-use skippub_core::scenarios::SUPERVISOR;
+use skippub_core::pubsub::{ShardedBackend, SystemBuilder};
 use skippub_core::{PubSub, TopicId};
 use skippub_harness::scenario::{self, library};
 use skippub_sim::NodeId;
@@ -224,27 +223,21 @@ fn scenario_ab(
 fn main() {
     let a = parse_args();
 
-    let mut multi: MultiTopicBackend = SystemBuilder::new(SEED).topics(a.topics).build_multi();
     let topics = a.topics;
+    let legacy_verdicts = |ps: &ShardedBackend| {
+        (
+            legacy::is_legitimate(ps.world(), topics, |t| ps.supervisor_for(t)),
+            legacy::publications_converged(ps.world(), topics),
+        )
+    };
+    let mut multi = SystemBuilder::new(SEED).topics(a.topics).build_multi();
+    let mut sharded = SystemBuilder::new(SEED)
+        .topics(a.topics)
+        .shards(a.shards)
+        .build_sharded();
     let rows = [
-        measure(&a, "multi-topic", &mut multi, |ps: &MultiTopicBackend| {
-            (
-                legacy::is_legitimate(ps.world(), topics, |_| SUPERVISOR),
-                legacy::publications_converged(ps.world(), topics),
-            )
-        }),
-        {
-            let mut sharded: ShardedBackend = SystemBuilder::new(SEED)
-                .topics(a.topics)
-                .shards(a.shards)
-                .build_sharded();
-            measure(&a, "sharded", &mut sharded, |ps: &ShardedBackend| {
-                (
-                    legacy::is_legitimate(ps.world(), topics, |t| ps.supervisor_for(t)),
-                    legacy::publications_converged(ps.world(), topics),
-                )
-            })
-        },
+        measure(&a, "multi-topic", &mut multi, legacy_verdicts),
+        measure(&a, "sharded", &mut sharded, legacy_verdicts),
     ];
 
     eprintln!("scenario wall-clock A/B ...");

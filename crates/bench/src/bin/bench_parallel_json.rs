@@ -7,11 +7,12 @@
 //! Honesty notes, baked into the emitted JSON:
 //!
 //! * `cores` records `std::thread::available_parallelism()` — the
-//!   speedup of `threads=k` over `threads=1` is bounded by it. On a
-//!   single-core container the executor can only demonstrate
-//!   *determinism* (also checked here: aggregated metrics must be
-//!   byte-identical across every thread count); the scaling headroom
-//!   shows on multi-core hardware.
+//!   speedup of `threads=k` over `threads=1` is bounded by it, and the
+//!   emitted note states that bound for the measured count. On a
+//!   single core the executor can only demonstrate *determinism* (also
+//!   checked here: aggregated metrics must be byte-identical across
+//!   every thread count); the scaling headroom shows on multi-core
+//!   hardware.
 //! * Each timed measurement drives the backend in one
 //!   `run_rounds(block)` batch (one worker-scope spawn per block), the
 //!   intended bulk-stepping mode; `stepped_rounds_per_sec` additionally
@@ -181,6 +182,20 @@ fn run_skewed(a: &Args, rebalance_every: u64, rounds: u64) -> (f64, f64, u64) {
 /// happened to run in a quiet moment.
 const BLOCKS: u64 = 24;
 
+/// What the measured core count allows `speedup_vs_threads1` to show.
+fn speedup_bound(cores: usize) -> String {
+    if cores == 1 {
+        "on a single core it cannot exceed 1.0 and thread overhead makes it slightly below; \
+         the scaling headroom only shows on multi-core hardware"
+            .to_string()
+    } else {
+        format!(
+            "it cannot exceed {cores}.0, and thread counts above {cores} add no \
+             further headroom"
+        )
+    }
+}
+
 fn main() {
     let a = parse_args();
     let cores = std::thread::available_parallelism()
@@ -343,11 +358,27 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"note\": \"speedup_vs_threads1 is bounded by cores ({cores} here — on this single-core container it cannot exceed 1.0 and thread overhead makes it slightly below; the scaling headroom only shows on multi-core hardware); determinism (byte-identical metrics for every thread count) and the lock/imbalance counters are the machine-independent claims. speedup_vs_monolithic compares against the old single-world serial execution on the same population.\""
+        "  \"note\": \"speedup_vs_threads1 is bounded by cores ({cores} here — {}); determinism (byte-identical metrics for every thread count) and the lock/imbalance counters are the machine-independent claims. speedup_vs_monolithic compares against the old single-world serial execution on the same population.\"",
+        speedup_bound(cores)
     );
     json.push_str("}\n");
 
     std::fs::write(&a.out, &json).expect("write BENCH_parallel.json");
     eprintln!("wrote {}", a.out);
     print!("{json}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::speedup_bound;
+
+    #[test]
+    fn note_states_the_bound_of_the_measured_core_count() {
+        assert!(speedup_bound(1).contains("single core"));
+        let two = speedup_bound(2);
+        assert!(
+            two.contains("exceed 2.0") && !two.contains("single"),
+            "{two}"
+        );
+    }
 }

@@ -25,7 +25,7 @@ use crate::checker::{self, CheckScratch};
 use crate::replica::ReplicaGroup;
 use crate::topics::{MultiActor, TopicId};
 use crate::{Actor, Supervisor};
-use skippub_sim::{NodeId, NodeView, World};
+use skippub_sim::{NodeId, PartitionedWorld, World};
 
 /// One cached boolean verdict: valid while the topic's dirty-channel
 /// version still equals `version`.
@@ -74,7 +74,8 @@ impl ReplicaAgreement {
         value
     }
 
-    /// Multi-group variant (the sharded backend: one group per shard).
+    /// Multi-group variant (the partitioned backend: one group per
+    /// shard).
     /// Versions are monotone, so their sum strictly increases whenever
     /// any group changes — a valid cache key for the conjunction.
     pub(crate) fn check_many(&mut self, groups: &[ReplicaGroup]) -> bool {
@@ -95,8 +96,8 @@ impl ReplicaAgreement {
     }
 }
 
-/// Verdict caches + per-topic member index for the multi-topic world
-/// shapes (serial and partitioned).
+/// Verdict caches + per-topic member index for the partitioned
+/// multi-topic world.
 pub(crate) struct IncChecker {
     topo: Vec<Cached<bool>>,
     pubs: Vec<Cached<(bool, usize)>>,
@@ -130,13 +131,8 @@ impl IncChecker {
         }
     }
 
-    /// Cached replica-agreement component of the legitimacy predicate.
-    pub(crate) fn replicas_agree(&mut self, group: Option<&ReplicaGroup>) -> bool {
-        self.replicas.check(group)
-    }
-
-    /// Cached agreement over several replica groups (sharded backend:
-    /// one per shard; an empty slice means replication is off).
+    /// Cached agreement over the replica groups (one per shard; an
+    /// empty slice means replication is off).
     pub(crate) fn replica_groups_agree(&mut self, groups: &[ReplicaGroup]) -> bool {
         self.replicas.check_many(groups)
     }
@@ -181,11 +177,11 @@ impl IncChecker {
         }
     }
 
-    fn rebuild_members<V: NodeView<MultiActor>>(&mut self, world: &V) {
+    fn rebuild_members(&mut self, world: &PartitionedWorld<MultiActor>) {
         for list in &mut self.members {
             list.clear();
         }
-        for (id, actor) in world.nodes() {
+        for (id, actor) in world.iter() {
             for (t, _) in actor.subscriptions() {
                 // World iteration ascends by id, so pushes stay sorted.
                 self.members[t.0 as usize].push(id);
@@ -196,11 +192,11 @@ impl IncChecker {
 
     /// Whole-system legitimacy: every topic's cached-or-rejudged
     /// verdict. `topo_version(t)` reads topic `t`'s topology channel,
-    /// `sup_of(t)` names its responsible supervisor — the only two
-    /// points where the multi-topic and sharded backends differ.
-    pub(crate) fn all_legit<V: NodeView<MultiActor>>(
+    /// `sup_of(t)` names its responsible supervisor (the backend's
+    /// topic routing).
+    pub(crate) fn all_legit(
         &mut self,
-        world: &V,
+        world: &PartitionedWorld<MultiActor>,
         topics: u32,
         topo_version: impl Fn(u32) -> u64,
         sup_of: impl Fn(TopicId) -> NodeId,
@@ -214,9 +210,9 @@ impl IncChecker {
     /// Whole-system publication convergence: converged iff every topic
     /// converged; the total is the sum of per-topic union sizes either
     /// way (matching the single-topic backends).
-    pub(crate) fn all_pubs<V: NodeView<MultiActor>>(
+    pub(crate) fn all_pubs(
         &mut self,
-        world: &V,
+        world: &PartitionedWorld<MultiActor>,
         topics: u32,
         pubs_version: impl Fn(u32) -> u64,
     ) -> (bool, usize) {
@@ -231,9 +227,9 @@ impl IncChecker {
     }
 
     /// Topology verdict for one topic: cached while `version` holds.
-    fn topic_legit<V: NodeView<MultiActor>>(
+    fn topic_legit(
         &mut self,
-        world: &V,
+        world: &PartitionedWorld<MultiActor>,
         version: u64,
         sup_id: NodeId,
         topic: TopicId,
@@ -247,12 +243,17 @@ impl IncChecker {
         }
         // Purge ids whose instance is gone (departures completed since
         // the last judge), then judge the remaining members by reference.
-        self.members[t]
-            .retain(|id| world.peek(*id).is_some_and(|a| a.topic_subscriber(topic).is_some()));
-        let members = self.members[t]
-            .iter()
-            .filter_map(|id| world.peek(*id).and_then(|a| a.topic_subscriber(topic).map(|s| (*id, s))));
-        let ok = match world.peek(sup_id).and_then(|a| a.topic_supervisor(topic)) {
+        self.members[t].retain(|id| {
+            world
+                .node(*id)
+                .is_some_and(|a| a.topic_subscriber(topic).is_some())
+        });
+        let members = self.members[t].iter().filter_map(|id| {
+            world
+                .node(*id)
+                .and_then(|a| a.topic_subscriber(topic).map(|s| (*id, s)))
+        });
+        let ok = match world.node(sup_id).and_then(|a| a.topic_supervisor(topic)) {
             Some(sup) => checker::fast_check_parts(sup, members, &mut self.scratch),
             // Topic never contacted: judged against an empty supervisor.
             None => checker::fast_check_parts(&Supervisor::new(sup_id), members, &mut self.scratch),
@@ -263,9 +264,9 @@ impl IncChecker {
 
     /// Publication-convergence verdict for one topic: cached while
     /// `version` holds; root-hash fast path on a re-judge.
-    fn topic_pubs<V: NodeView<MultiActor>>(
+    fn topic_pubs(
         &mut self,
-        world: &V,
+        world: &PartitionedWorld<MultiActor>,
         version: u64,
         topic: TopicId,
     ) -> (bool, usize) {
@@ -282,7 +283,7 @@ impl IncChecker {
         let value = checker::pubs_converged_fast(|| {
             self.members[t]
                 .iter()
-                .filter_map(|id| world.peek(*id).and_then(|a| a.topic_subscriber(topic)))
+                .filter_map(|id| world.node(*id).and_then(|a| a.topic_subscriber(topic)))
         });
         self.pubs[t] = Cached { version, value };
         value

@@ -10,8 +10,8 @@
 //! |---|---|---|
 //! | [`SimBackend`] | [`SystemBuilder::build_sim`] | single-topic deterministic simulator (synchronous rounds) |
 //! | [`SimBackend`] (chaos) | [`SystemBuilder::build_chaos`] | same, under the chaos scheduler (random delay/reorder) |
-//! | [`MultiTopicBackend`] | [`SystemBuilder::build_multi`] | one `BuildSR` instance per topic at one supervisor (§4) |
-//! | [`ShardedBackend`] | [`SystemBuilder::build_sharded`] | topics consistent-hashed onto multiple supervisors (§1.3) |
+//! | [`ShardedBackend`] (multi-topic preset) | [`SystemBuilder::build_multi`] | one `BuildSR` instance per topic at one supervisor (§4), clients round-robin over partitions |
+//! | [`ShardedBackend`] (sharded preset) | [`SystemBuilder::build_sharded`] | topics consistent-hashed onto one supervisor per partition (§1.3) |
 //! | `NetBackend` (in `skippub-net`) | `NetBackend::from_builder` | one OS thread per node, real delays; rounds become wall-clock quiescence polling |
 //!
 //! A scenario written against `&mut dyn PubSub` therefore runs unmodified
@@ -26,16 +26,15 @@
 //! [`crate::checker`] predicates (and any custom probe) can judge.
 
 mod incremental;
-mod multi;
 pub mod ops;
 mod sharded;
 mod sim;
 
-pub use multi::MultiTopicBackend;
 pub use ops::Op;
 pub use sharded::{ShardedBackend, SHARD_SUPERVISOR_BASE};
 pub use sim::SimBackend;
 
+use crate::scenarios::SUPERVISOR;
 use crate::topics::TopicId;
 use crate::{Actor, ProtocolConfig};
 use skippub_bits::BitStr;
@@ -194,10 +193,14 @@ pub enum BackendKind {
     Sim,
     /// Single-topic simulator under the chaos scheduler.
     Chaos,
-    /// Multi-topic system (§4): one `BuildSR` per topic, one supervisor.
+    /// Multi-topic system (§4): one `BuildSR` per topic, one supervisor
+    /// — the single-supervisor preset of [`ShardedBackend`], with
+    /// clients spread round-robin over [`SystemBuilder::shards`]
+    /// partitions.
     MultiTopic,
     /// Multi-topic system with topics consistent-hashed onto multiple
-    /// supervisors (§1.3).
+    /// supervisors (§1.3), one per partition — the sharded preset of
+    /// [`ShardedBackend`].
     Sharded,
 }
 
@@ -496,8 +499,7 @@ impl Snap for EventCursor {
 pub fn restore(snap: &BackendSnapshot) -> Result<Box<dyn PubSub>, String> {
     match snap.kind.as_str() {
         "sim" | "chaos" => Ok(Box::new(SimBackend::from_snapshot(snap)?)),
-        "multi-topic" => Ok(Box::new(MultiTopicBackend::from_snapshot(snap)?)),
-        "sharded" => Ok(Box::new(ShardedBackend::from_snapshot(snap)?)),
+        "multi-topic" | "sharded" => Ok(Box::new(ShardedBackend::from_snapshot(snap)?)),
         kind => Err(format!("unknown snapshot kind {kind:?}")),
     }
 }
@@ -576,8 +578,12 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the number of supervisor shards (`≥ 1`) for
-    /// [`SystemBuilder::build_sharded`].
+    /// Sets the number of partitions (`≥ 1`) of the partitioned
+    /// backends: one supervisor shard per partition for
+    /// [`SystemBuilder::build_sharded`]; partitions the single
+    /// supervisor's clients are spread over for
+    /// [`SystemBuilder::build_multi`]. The single-topic backends ignore
+    /// it.
     pub fn shards(mut self, k: usize) -> Self {
         assert!(k >= 1, "need at least one shard");
         self.shards = k;
@@ -603,10 +609,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the worker-thread cap (`≥ 1`) for the sharded backend's
-    /// parallel round executor. Purely an execution knob: results are
-    /// byte-identical for every value (the executor never uses more
-    /// workers than shards). Other backends ignore it.
+    /// Sets the worker-thread cap (`≥ 1`) for the partitioned backends'
+    /// (multi-topic and sharded) parallel round executor. Purely an
+    /// execution knob: results are byte-identical for every value (the
+    /// executor never uses more workers than partitions). The
+    /// single-topic backends ignore it.
     pub fn threads(mut self, t: usize) -> Self {
         assert!(t >= 1, "need at least one worker thread");
         self.threads = t;
@@ -620,7 +627,8 @@ impl SystemBuilder {
     /// reads only round-synchronous state, so trajectories stay
     /// byte-identical across thread counts. Backends with a single
     /// supervisor (sim, chaos, multi-topic) have nothing to move and
-    /// ignore the knob; mutually exclusive with `replicas ≥ 2`.
+    /// ignore the knob; mutually exclusive with `replicas ≥ 2` on every
+    /// backend ([`SystemBuilder::check`]).
     pub fn rebalance_every(mut self, r: u64) -> Self {
         self.rebalance_every = r;
         self
@@ -693,6 +701,23 @@ impl SystemBuilder {
         self.rebalance_every
     }
 
+    /// Rejects knob combinations no backend can run, for callers that
+    /// take knobs from outside the program and must refuse them before
+    /// building anything: a topic handoff moves the supervisor instance
+    /// but not its shard's replica log, so rebalancing excludes
+    /// supervisor replication ([`SystemBuilder::build_sharded`] panics
+    /// on the combination).
+    pub fn check(&self) -> Result<(), String> {
+        if self.rebalance_every > 0 && self.replicas >= 2 {
+            return Err(format!(
+                "topic rebalancing (every {} rounds) cannot run with {} supervisor \
+                 replicas (a handoff would have to transfer the replica log)",
+                self.rebalance_every, self.replicas
+            ));
+        }
+        Ok(())
+    }
+
     /// Single-topic deterministic simulator (synchronous rounds).
     /// Requires `topics == 1`.
     pub fn build_sim(&self) -> SimBackend {
@@ -719,14 +744,23 @@ impl SystemBuilder {
         b
     }
 
-    /// Multi-topic system (§4): one supervisor hosting one `BuildSR`
-    /// instance per topic. Runs on the partitioned executor: clients
-    /// spread round-robin over [`SystemBuilder::shards`] partitions,
-    /// stepped by up to [`SystemBuilder::threads`] workers (defaults:
-    /// one of each — the serial execution).
-    pub fn build_multi(&self) -> MultiTopicBackend {
-        let mut b =
-            MultiTopicBackend::new(self.seed, self.topics, self.shards, self.threads, self.protocol);
+    /// Multi-topic system (§4): one supervisor, [`SUPERVISOR`] in
+    /// partition 0, hosting one `BuildSR` instance per topic — the
+    /// single-supervisor preset of [`ShardedBackend`]. Clients spread
+    /// round-robin over [`SystemBuilder::shards`] partitions, stepped by
+    /// up to [`SystemBuilder::threads`] workers (defaults: one of each —
+    /// the serial execution). Rebalancing needs one supervisor per
+    /// partition, so [`SystemBuilder::rebalance_every`] is ignored.
+    pub fn build_multi(&self) -> ShardedBackend {
+        let mut b = ShardedBackend::new(
+            self.seed,
+            self.topics,
+            self.shards,
+            vec![SUPERVISOR],
+            self.vnodes,
+            self.threads,
+            self.protocol,
+        );
         b.set_delivery_budget(self.budget);
         b.set_replicas(self.replicas);
         b.set_faults(self.faults.clone());
@@ -742,6 +776,9 @@ impl SystemBuilder {
             self.seed,
             self.topics,
             self.shards,
+            (0..self.shards as u64)
+                .map(|i| NodeId(SHARD_SUPERVISOR_BASE + i))
+                .collect(),
             self.vnodes,
             self.threads,
             self.protocol,
@@ -780,6 +817,9 @@ mod tests {
         assert_eq!(b.seed(), 9);
         assert_eq!(b.topic_count(), 3);
         assert!(!b.protocol_config().flooding);
+        assert!(b.check().is_ok());
+        assert!(b.clone().rebalance_every(5).check().is_err());
+        assert!(b.replicas(1).rebalance_every(5).check().is_ok());
     }
 
     #[test]

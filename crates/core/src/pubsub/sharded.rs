@@ -1,24 +1,33 @@
-//! [`ShardedBackend`]: §1.3's scaling remark as a *drivable system* —
-//! topics are consistent-hashed onto multiple supervisor nodes (via
-//! [`SupervisorShards`]), and the shards execute as **partitions of a
-//! [`PartitionedWorld`]** stepped by the deterministic parallel round
-//! executor.
+//! [`ShardedBackend`]: the partitioned multi-topic system behind the
+//! [`PubSub`] facade — topics mapped onto supervisor endpoints, executed
+//! as **partitions of a [`PartitionedWorld`]** stepped by the
+//! deterministic parallel round executor.
 //!
-//! Placement policy: shard `i`'s supervisor lives in partition `i`, and
-//! every client is placed in the partition of the shard serving its
-//! *first* topic — so the common case (a client's whole life on one
-//! shard) is entirely intra-partition, and only multi-shard clients
-//! exchange cross-partition envelopes. Results are byte-identical for
-//! every [`SystemBuilder::threads`](super::SystemBuilder::threads)
+//! One backend serves two presets, which differ only in the supervisor
+//! layout [`SystemBuilder`](super::SystemBuilder) passes in; every
+//! other difference is derived from that layout:
+//!
+//! | preset | supervisors | client home partition |
+//! |---|---|---|
+//! | `multi-topic` (§4, `build_multi`) | one endpoint [`SUPERVISOR`] in partition 0, hosting a `BuildSR` instance per topic | round-robin, `id % partitions`, over `shards` partitions |
+//! | `sharded` (§1.3, `build_sharded`) | `shards` endpoints `SHARD_SUPERVISOR_BASE + i`, topics consistent-hashed onto them ([`SupervisorShards`]); endpoint `i` in partition `i` | the partition of the shard serving its *first* topic |
+//!
+//! Under the sharded layout the common case (a client's whole life on
+//! one shard) is entirely intra-partition, and only multi-shard clients
+//! exchange cross-partition envelopes. The backend name (and with it
+//! the snapshot kind tag) is the preset's. Results are byte-identical
+//! for every [`SystemBuilder::threads`](super::SystemBuilder::threads)
 //! setting — worker count is an execution knob, never a semantics knob.
 
 use super::incremental::IncChecker;
 use super::{BackendSnapshot, Delivery, EventCursor, PartitionStats, PubSub, Stats};
+use crate::checker;
 use crate::dirty::{pubs_key, topo_key};
 use crate::replica::ReplicaGroup;
+use crate::scenarios::SUPERVISOR;
 use crate::sharding::SupervisorShards;
 use crate::topics::{MultiActor, TopicId};
-use crate::{Actor, ProtocolConfig};
+use crate::{Actor, ProtocolConfig, Supervisor};
 use skippub_bits::BitStr;
 use skippub_sim::{FaultCounts, FaultSpec, Metrics, NodeId, PartitionedState, PartitionedWorld, World};
 use skippub_snapshot::{Snap, SnapVec, SnapWriter};
@@ -32,14 +41,15 @@ use std::collections::{BTreeMap, BTreeSet};
 /// population.
 pub const SHARD_SUPERVISOR_BASE: u64 = 1 << 32;
 
-/// The sharded multi-topic backend: `k` supervisors, each responsible
-/// for the topics whose hash falls in its sub-interval of the
-/// consistent-hash ring. Clients route every subscribe/publish for a
-/// topic to that topic's shard; a shard failure therefore only affects
-/// its own sub-interval of topics. Each shard (supervisor + the clients
-/// homed on it) is one partition of the underlying
-/// [`PartitionedWorld`], stepped in parallel by up to `threads` workers
-/// with bit-identical results for any worker count.
+/// The partitioned multi-topic backend: `k` supervisors, each
+/// responsible for the topics whose hash falls in its sub-interval of
+/// the consistent-hash ring (with `k = 1`, every topic). Clients route
+/// every subscribe/publish for a topic to that topic's shard; a shard
+/// failure therefore only affects its own sub-interval of topics. The
+/// nodes live in the partitions of the underlying [`PartitionedWorld`],
+/// stepped in parallel by up to `threads` workers with bit-identical
+/// results for any worker count. See the module docs for the two
+/// supervisor layouts (presets).
 pub struct ShardedBackend {
     world: PartitionedWorld<MultiActor>,
     shards: SupervisorShards,
@@ -86,26 +96,25 @@ pub struct ShardedBackend {
 }
 
 impl ShardedBackend {
+    /// A backend over `partitions` partitions whose supervisor endpoint
+    /// `i` is `sup_ids[i]`, placed in partition `i`.
     pub(crate) fn new(
         seed: u64,
         topics: u32,
-        shard_count: usize,
+        partitions: usize,
+        sup_ids: Vec<NodeId>,
         vnodes: usize,
         threads: usize,
         cfg: ProtocolConfig,
     ) -> Self {
-        assert!(shard_count >= 1);
-        let sup_ids: Vec<NodeId> = (0..shard_count as u64)
-            .map(|i| NodeId(SHARD_SUPERVISOR_BASE + i))
-            .collect();
-        let mut world = PartitionedWorld::new(seed, shard_count, threads);
+        assert!(!sup_ids.is_empty() && sup_ids.len() <= partitions);
+        let mut world = PartitionedWorld::new(seed, partitions, threads);
         for (i, &s) in sup_ids.iter().enumerate() {
             world.add_node(s, MultiActor::new_supervisor(s), i as u32);
         }
         ShardedBackend {
             shards: SupervisorShards::new(&sup_ids, vnodes),
             world,
-            sup_ids,
             cfg,
             topics,
             next_id: 1,
@@ -117,7 +126,8 @@ impl ShardedBackend {
             overrides: BTreeMap::new(),
             rebalance_every: 0,
             rebalances: 0,
-            last_delivered: vec![0; shard_count],
+            last_delivered: vec![0; sup_ids.len()],
+            sup_ids,
             sever_fired: BTreeSet::new(),
         }
     }
@@ -213,15 +223,42 @@ impl ShardedBackend {
     /// regardless of the A/B switch.
     pub fn is_legitimate_full(&self) -> bool {
         (0..self.topics).all(|t| {
-            let t = TopicId(t);
-            super::multi::topic_is_legit(&self.world, self.supervisor_for(t), t)
+            let topic = TopicId(t);
+            let sup_id = self.supervisor_for(topic);
+            let members = self
+                .world
+                .iter()
+                .filter_map(|(id, a)| a.topic_subscriber(topic).map(|s| (id, s)));
+            match self
+                .world
+                .node(sup_id)
+                .and_then(|a| a.topic_supervisor(topic))
+            {
+                Some(sup) => checker::check_topology_parts(sup, members).ok(),
+                // Topic never contacted: judged against an empty supervisor.
+                None => checker::check_topology_parts(&Supervisor::new(sup_id), members).ok(),
+            }
         })
     }
 
     /// From-scratch publication convergence (the pre-PR per-poll global
-    /// key union), regardless of the switch.
+    /// key union), regardless of the switch: converged iff every topic
+    /// converged; the total is the sum of per-topic union sizes either
+    /// way (matching the single-topic backends, which report the union
+    /// size even when not yet converged).
     pub fn publications_converged_full(&self) -> (bool, usize) {
-        super::multi::fold_pubs_converged(&self.world, self.topics)
+        let mut all_ok = true;
+        let mut total = 0;
+        for t in 0..self.topics {
+            let (ok, n) = checker::publications_converged_of(
+                self.world
+                    .iter()
+                    .filter_map(|(_, a)| a.topic_subscriber(TopicId(t))),
+            );
+            all_ok &= ok;
+            total += n;
+        }
+        (all_ok, total)
     }
 
     /// The consistent-hash ring mapping topics to supervisors.
@@ -248,11 +285,17 @@ impl ShardedBackend {
     /// state). Mutually exclusive with supervisor replication: a topic
     /// handoff moves the supervisor instance but not the shard's replica
     /// log, so combining the two would desynchronize failover state.
+    /// Needs one supervisor per partition (the sharded layout): with a
+    /// single supervisor there is no other shard to move a topic to.
     pub fn set_rebalance_every(&mut self, every: u64) {
         assert!(
             every == 0 || self.groups.is_empty(),
             "topic rebalancing and supervisor replication are mutually \
              exclusive (a handoff would have to transfer the replica log)"
+        );
+        assert!(
+            every == 0 || self.one_supervisor_per_partition(),
+            "topic rebalancing needs one supervisor per partition"
         );
         self.rebalance_every = every;
     }
@@ -286,15 +329,20 @@ impl ShardedBackend {
         &mut self.world
     }
 
-    /// Rebuilds a backend from a `sharded` snapshot. The consistent-hash
-    /// ring is **not** serialized: it is a pure function of the
-    /// supervisor IDs and replica count, both of which are, so restore
-    /// rebuilds it. The checker restarts cold with an invalidated member
-    /// index (a fresh `IncChecker` trusts its — empty — index), so the
-    /// first poll re-scans the world.
+    /// Rebuilds a backend from a `multi-topic` or `sharded` snapshot
+    /// (one layout; the kind tag must match the saved supervisor
+    /// layout). The consistent-hash ring is **not** serialized: it is a
+    /// pure function of the supervisor IDs and replica count, both of
+    /// which are, so restore rebuilds it. The checker restarts cold with
+    /// an invalidated member index (a fresh `IncChecker` trusts its —
+    /// empty — index), so the first poll re-scans the world; verdicts
+    /// are pure functions of the world, so this is exact.
     pub fn from_snapshot(snap: &BackendSnapshot) -> Result<Self, String> {
-        if snap.kind != "sharded" {
-            return Err(format!("expected a sharded snapshot, got {:?}", snap.kind));
+        if snap.kind != "multi-topic" && snap.kind != "sharded" {
+            return Err(format!(
+                "expected a multi-topic or sharded snapshot, got {:?}",
+                snap.kind
+            ));
         }
         let mut r = snap.reader().map_err(|e| e.to_string())?;
         let err = |e: skippub_snapshot::SnapError| e.to_string();
@@ -337,7 +385,7 @@ impl ShardedBackend {
         }
         let mut inc = IncChecker::new(topics);
         inc.invalidate_all();
-        Ok(ShardedBackend {
+        let backend = ShardedBackend {
             shards: SupervisorShards::new(&sup_ids, vnodes),
             world: PartitionedWorld::from_state(world),
             sup_ids,
@@ -354,7 +402,15 @@ impl ShardedBackend {
             rebalances,
             last_delivered,
             sever_fired,
-        })
+        };
+        if backend.backend_name() != snap.kind {
+            return Err(format!(
+                "{:?} snapshot carries the {} supervisor layout",
+                snap.kind,
+                backend.backend_name()
+            ));
+        }
+        Ok(backend)
     }
 
     /// Aggregated simulator metrics over all shard partitions (per-kind
@@ -395,9 +451,33 @@ impl ShardedBackend {
         }
     }
 
-    /// Partition index of the shard owned by supervisor `sup`.
+    /// Index of the shard owned by supervisor `sup` (its position in
+    /// the supervisor list, which is also its partition).
     fn shard_index(&self, sup: NodeId) -> u32 {
-        (sup.0 - SHARD_SUPERVISOR_BASE) as u32
+        self.sup_ids
+            .iter()
+            .position(|&s| s == sup)
+            .expect("routing only names shard supervisors") as u32
+    }
+
+    /// Whether every partition hosts its own supervisor (the sharded
+    /// layout) rather than one supervisor serving several partitions
+    /// (the multi-topic layout).
+    fn one_supervisor_per_partition(&self) -> bool {
+        self.sup_ids.len() == self.world.partition_count()
+    }
+
+    /// Home partition of a new client `id` whose first topic is served
+    /// by `shard`: that shard's partition under the sharded layout;
+    /// round-robin by ID under the multi-topic layout. Either way a pure
+    /// function of IDs, so the node→partition map — and with it every
+    /// trajectory — is identical for every thread count.
+    fn home_partition(&self, id: NodeId, shard: u32) -> u32 {
+        if self.one_supervisor_per_partition() {
+            shard
+        } else {
+            (id.0 % self.world.partition_count() as u64) as u32
+        }
     }
 
     /// Fires replica-group failovers for shards whose supervisor sits
@@ -623,8 +703,14 @@ impl ShardedBackend {
 }
 
 impl PubSub for ShardedBackend {
+    /// The preset's name, read off the supervisor layout: only the
+    /// multi-topic preset runs its single supervisor at [`SUPERVISOR`].
     fn backend_name(&self) -> &'static str {
-        "sharded"
+        if self.sup_ids == [SUPERVISOR] {
+            "multi-topic"
+        } else {
+            "sharded"
+        }
     }
 
     fn topic_count(&self) -> u32 {
@@ -639,9 +725,9 @@ impl PubSub for ShardedBackend {
         let shard = self.shard_index(sup);
         let mut client = MultiActor::new_client(id, self.sup_ids[0], self.cfg);
         client.join_topic_at(topic, sup);
-        // Home partition: the shard of the client's first topic (type
-        // docs — later joins to other shards stay cross-partition).
-        self.world.add_node(id, client, shard);
+        // Later joins to other shards stay cross-partition.
+        let home = self.home_partition(id, shard);
+        self.world.add_node(id, client, home);
         self.note_met(id, shard);
         self.inc.get_mut().add_member(topic, id);
         self.world.bump_dirty(topo_key(topic.0));
@@ -709,16 +795,12 @@ impl PubSub for ShardedBackend {
     }
 
     fn report_crash(&mut self, id: NodeId) {
-        if id.0 >= SHARD_SUPERVISOR_BASE {
+        if let Some(idx) = self.sup_ids.iter().position(|&s| s == id) {
             // A crash report on a shard supervisor endpoint routes to
-            // that shard's replica group (previously a silent no-op —
-            // supervisors never appear in `met`): with live backups
-            // this triggers failover; unreplicated it stays a uniform
-            // no-op. Reports on IDs outside the shard range are ignored.
-            let idx = (id.0 - SHARD_SUPERVISOR_BASE) as usize;
-            if idx < self.sup_ids.len() {
-                self.fail_shard(idx);
-            }
+            // that shard's replica group (supervisors never appear in
+            // `met`): with live backups this triggers failover;
+            // unreplicated it stays a uniform no-op.
+            self.fail_shard(idx);
             return;
         }
         // The detector feed is routed by registration-time membership:
@@ -770,16 +852,40 @@ impl PubSub for ShardedBackend {
     }
 
     fn drain_events(&mut self, id: NodeId) -> Vec<Delivery> {
-        super::multi::drain_client_events(&self.world, &mut self.cursor, id)
+        let Some(actor) = self.world.node(id) else {
+            return Vec::new();
+        };
+        // Borrowing subscription walk — no per-call topic-id or trie-ref
+        // Vecs; combined with the cursor's root-hash short-circuit, a drain
+        // of a quiet client allocates nothing beyond the (empty) result.
+        self.cursor
+            .drain(id, actor.subscriptions().map(|(t, s)| (t, &s.trie)))
     }
 
     fn subscriber_ids(&self) -> Vec<NodeId> {
-        super::multi::client_ids(&self.world)
+        self.world
+            .iter()
+            .filter(|(_, a)| a.is_client())
+            .map(|(id, _)| id)
+            .collect()
     }
 
     fn snapshot(&self, topic: TopicId) -> World<Actor> {
         self.assert_topic(topic);
-        super::multi::snapshot_topic(&self.world, self.supervisor_for(topic), topic)
+        let sup_id = self.supervisor_for(topic);
+        let mut out = World::new(0);
+        let sup = self
+            .world
+            .node(sup_id)
+            .and_then(|a| a.topic_supervisor(topic).cloned())
+            .unwrap_or_else(|| Supervisor::new(sup_id));
+        out.add_node(sup_id, Actor::Supervisor(sup));
+        for (id, actor) in self.world.iter() {
+            if let Some(s) = actor.topic_subscriber(topic) {
+                out.add_node(id, Actor::Subscriber(Box::new(s.clone())));
+            }
+        }
+        out
     }
 
     fn stats(&self) -> Stats {
@@ -866,6 +972,57 @@ impl PubSub for ShardedBackend {
 mod tests {
     use super::*;
     use crate::pubsub::SystemBuilder;
+
+    /// Both presets, for tests that must hold on either layout.
+    const PRESETS: [fn(&SystemBuilder) -> ShardedBackend; 2] =
+        [SystemBuilder::build_multi, SystemBuilder::build_sharded];
+
+    #[test]
+    fn topics_stabilize_and_deliver_independently() {
+        let mut ps = SystemBuilder::new(41)
+            .topics(2)
+            .protocol(ProtocolConfig::default())
+            .build_multi();
+        let (ta, tb) = (TopicId(0), TopicId(1));
+        let a_members: Vec<NodeId> = (0..3).map(|_| ps.subscribe(ta)).collect();
+        let b_members: Vec<NodeId> = (0..3).map(|_| ps.subscribe(tb)).collect();
+        // One client straddles both topics.
+        ps.join(a_members[0], tb);
+        let (_, ok) = ps.until_legit(2000);
+        assert!(ok, "both rings must stabilize");
+        ps.publish(a_members[1], ta, b"only-a".to_vec()).unwrap();
+        let (_, ok) = ps.until_pubs_converged(2000);
+        assert!(ok);
+        for &m in &a_members {
+            let ev = ps.drain_events(m);
+            assert_eq!(ev.len(), 1, "topic-a member sees the story");
+            assert_eq!(ev[0].topic, ta);
+        }
+        for &m in &b_members {
+            assert!(
+                ps.drain_events(m).is_empty(),
+                "topic-b members must not see topic-a content"
+            );
+        }
+    }
+
+    #[test]
+    fn leave_topic_restabilizes() {
+        let mut ps = SystemBuilder::new(42)
+            .protocol(ProtocolConfig::topology_only())
+            .build_multi();
+        let t = TopicId(0);
+        let ids: Vec<NodeId> = (0..4).map(|_| ps.subscribe(t)).collect();
+        assert!(ps.until_legit(2000).1);
+        ps.unsubscribe(ids[1], t);
+        assert!(ps.until_legit(2000).1);
+        let snap = ps.snapshot(t);
+        let sup = snap
+            .iter()
+            .find_map(|(_, a)| a.supervisor())
+            .expect("supervisor");
+        assert_eq!(sup.n(), 3);
+    }
 
     #[test]
     fn topics_land_on_distinct_shards_and_stabilize() {
@@ -958,92 +1115,124 @@ mod tests {
     #[test]
     fn report_crash_routes_only_to_met_shards() {
         let topics = 8u32;
-        let mut ps = SystemBuilder::new(54)
+        let builder = SystemBuilder::new(54)
             .topics(topics)
             .shards(4)
-            .protocol(ProtocolConfig::topology_only())
-            .build_sharded();
-        // One client per topic; each client meets exactly one shard.
-        let ids: Vec<NodeId> = (0..topics).map(|t| ps.subscribe(TopicId(t))).collect();
-        assert!(ps.until_legit(4000).1);
-        let victim = ids[0];
-        let victim_sup = ps.supervisor_for(TopicId(0));
-        ps.crash(victim);
-        ps.report_crash(victim);
-        for &s in ps.supervisor_ids() {
-            let sup = ps.world().node(s).expect("supervisor alive");
-            let suspected: usize = sup
-                .topic_ids()
-                .into_iter()
-                .filter_map(|t| sup.topic_supervisor(t))
-                .map(|sv| sv.suspected.len())
-                .sum();
-            if s == victim_sup {
-                assert!(suspected > 0, "the victim's shard must hear the report");
-            } else {
-                assert_eq!(suspected, 0, "shard {s} never met {victim}");
+            .protocol(ProtocolConfig::topology_only());
+        for build in PRESETS {
+            let mut ps = build(&builder);
+            let name = ps.backend_name();
+            // One client per topic; each client meets exactly one shard.
+            let ids: Vec<NodeId> = (0..topics).map(|t| ps.subscribe(TopicId(t))).collect();
+            assert!(ps.until_legit(4000).1, "{name}");
+            let victim = ids[0];
+            let victim_sup = ps.supervisor_for(TopicId(0));
+            ps.crash(victim);
+            ps.report_crash(victim);
+            for &s in ps.supervisor_ids() {
+                let sup = ps.world().node(s).expect("supervisor alive");
+                let suspected: usize = sup
+                    .topic_ids()
+                    .into_iter()
+                    .filter_map(|t| sup.topic_supervisor(t))
+                    .map(|sv| sv.suspected.len())
+                    .sum();
+                if s == victim_sup {
+                    assert!(
+                        suspected > 0,
+                        "{name}: the victim's shard must hear the report"
+                    );
+                } else {
+                    assert_eq!(suspected, 0, "{name}: shard {s} never met {victim}");
+                }
             }
+            assert!(ps.until_legit(4000).1, "{name}: eviction must re-stabilize");
         }
-        assert!(ps.until_legit(4000).1, "eviction must re-stabilize");
     }
 
     #[test]
     fn report_crash_of_unknown_node_is_a_true_noop() {
-        let mut ps = SystemBuilder::new(55)
+        let builder = SystemBuilder::new(55)
             .topics(4)
             .shards(2)
-            .protocol(ProtocolConfig::topology_only())
-            .build_sharded();
-        for t in 0..4 {
-            ps.subscribe(TopicId(t));
-        }
-        assert!(ps.until_legit(4000).1);
-        let before = ps.metrics();
-        // A suspect no shard has ever met: nothing may change — no
-        // supervisor state, no traffic.
-        ps.report_crash(NodeId(0xDEAD_BEEF));
-        for &s in ps.supervisor_ids() {
-            let sup = ps.world().node(s).expect("supervisor alive");
-            for t in sup.topic_ids() {
-                assert!(
-                    sup.topic_supervisor(t).unwrap().suspected.is_empty(),
-                    "unknown suspect leaked into shard {s}"
-                );
+            .protocol(ProtocolConfig::topology_only());
+        for build in PRESETS {
+            let mut ps = build(&builder);
+            let name = ps.backend_name();
+            for t in 0..4 {
+                ps.subscribe(TopicId(t));
             }
+            assert!(ps.until_legit(4000).1, "{name}");
+            let before = ps.metrics();
+            // A suspect no shard has ever met: nothing may change — no
+            // supervisor state, no traffic.
+            ps.report_crash(NodeId(0xDEAD_BEEF));
+            for &s in ps.supervisor_ids() {
+                let sup = ps.world().node(s).expect("supervisor alive");
+                for t in sup.topic_ids() {
+                    assert!(
+                        sup.topic_supervisor(t).unwrap().suspected.is_empty(),
+                        "{name}: unknown suspect leaked into shard {s}"
+                    );
+                }
+            }
+            assert_eq!(ps.metrics(), before, "{name}: no traffic may result");
+            assert!(ps.is_legitimate(), "{name}");
         }
-        assert_eq!(ps.metrics(), before, "no traffic may result");
-        assert!(ps.is_legitimate());
+    }
+
+    #[test]
+    fn snapshot_kind_must_match_the_supervisor_layout() {
+        for build in PRESETS {
+            let mut ps = build(&SystemBuilder::new(57).topics(2).shards(2));
+            ps.subscribe(TopicId(1));
+            let snap = ps.save_snapshot().unwrap();
+            let restored = ShardedBackend::from_snapshot(&snap).unwrap();
+            assert_eq!(restored.backend_name(), ps.backend_name());
+            let other = if ps.backend_name() == "sharded" {
+                "multi-topic"
+            } else {
+                "sharded"
+            };
+            let text = snap.as_text().replacen(ps.backend_name(), other, 1);
+            let retagged = BackendSnapshot::from_text(&text).unwrap();
+            assert!(ShardedBackend::from_snapshot(&retagged).is_err(), "{other}");
+        }
     }
 
     #[test]
     fn stats_per_partition_sums_to_totals() {
-        let mut ps = SystemBuilder::new(56)
-            .topics(6)
-            .shards(3)
-            .threads(2)
-            .build_sharded();
-        let ids: Vec<NodeId> = (0..12).map(|i| ps.subscribe(TopicId(i % 6))).collect();
-        assert!(ps.until_legit(6000).1);
-        ps.publish(ids[0], TopicId(0), b"sum check".to_vec()).unwrap();
-        assert!(ps.until_pubs_converged(4000).1);
-        let stats = ps.stats();
-        assert_eq!(stats.per_partition.len(), 3);
-        let sent: u64 = stats.per_partition.iter().map(|p| p.sent).sum();
-        let delivered: u64 = stats.per_partition.iter().map(|p| p.delivered).sum();
-        let dropped: u64 = stats.per_partition.iter().map(|p| p.dropped).sum();
-        assert_eq!(sent, stats.sent, "per-partition sent must sum to total");
-        assert_eq!(
-            delivered, stats.delivered,
-            "per-partition delivered must sum to total"
-        );
-        assert_eq!(
-            dropped, stats.dropped,
-            "per-partition dropped must sum to total (no external injects)"
-        );
-        // The aggregate equals what the old single-world totals were:
-        // the backend-agnostic fields stay the sum over partitions.
-        let agg = ps.metrics();
-        assert_eq!(agg.sent_total, stats.sent);
-        assert_eq!(agg.delivered_total, stats.delivered);
+        let builder = SystemBuilder::new(56).topics(6).shards(3).threads(2);
+        for build in PRESETS {
+            let mut ps = build(&builder);
+            let name = ps.backend_name();
+            let ids: Vec<NodeId> = (0..12).map(|i| ps.subscribe(TopicId(i % 6))).collect();
+            assert!(ps.until_legit(6000).1, "{name}");
+            ps.publish(ids[0], TopicId(0), b"sum check".to_vec())
+                .unwrap();
+            assert!(ps.until_pubs_converged(4000).1, "{name}");
+            let stats = ps.stats();
+            assert_eq!(stats.per_partition.len(), 3, "{name}");
+            let sent: u64 = stats.per_partition.iter().map(|p| p.sent).sum();
+            let delivered: u64 = stats.per_partition.iter().map(|p| p.delivered).sum();
+            let dropped: u64 = stats.per_partition.iter().map(|p| p.dropped).sum();
+            assert_eq!(
+                sent, stats.sent,
+                "{name}: per-partition sent must sum to total"
+            );
+            assert_eq!(
+                delivered, stats.delivered,
+                "{name}: per-partition delivered must sum to total"
+            );
+            assert_eq!(
+                dropped, stats.dropped,
+                "{name}: per-partition dropped must sum to total (no external injects)"
+            );
+            // The aggregate equals what the old single-world totals were:
+            // the backend-agnostic fields stay the sum over partitions.
+            let agg = ps.metrics();
+            assert_eq!(agg.sent_total, stats.sent, "{name}");
+            assert_eq!(agg.delivered_total, stats.delivered, "{name}");
+        }
     }
 }

@@ -340,6 +340,40 @@ fn main() {
     let faults_spec: Option<FaultSpec> = faults_arg.as_deref().map(|s| {
         FaultSpec::parse_line(s).unwrap_or_else(|e| fail(&format!("--faults: {e}")))
     });
+    let specs: Vec<ScenarioSpec> = specs
+        .into_iter()
+        .map(|mut spec| {
+            if let Some(s) = seed {
+                spec.seed = s;
+            }
+            if let Some(r) = rounds {
+                spec.rounds = r;
+            }
+            // Worker-thread cap for the partitioned backends' parallel
+            // round executor — an execution knob only: delivered sets and
+            // reports (minus the config header) are identical for every
+            // value.
+            if let Some(t) = threads {
+                spec = spec.threads(t);
+            }
+            // Topic→shard rebalancing cadence (sharded backend only; 0 =
+            // off). Deterministic: reports are identical for every thread
+            // count at any fixed cadence.
+            if let Some(r) = rebalance {
+                spec = spec.rebalance_every(r);
+            }
+            // Ad-hoc link-fault schedule, armed at the run phase exactly
+            // like a builtin's.
+            if let Some(f) = &faults_spec {
+                spec = spec.faults(f.clone());
+            }
+            spec
+        })
+        .collect();
+    // Knob combinations no backend can run fail before anything runs.
+    for spec in &specs {
+        scenario::check_knobs(spec).unwrap_or_else(|e| fail(&e));
+    }
 
     // --- checkpoint / warm-start / crash-recovery modes ---
     if snapshot_at.is_some() != out_snapshot.is_some() {
@@ -360,22 +394,7 @@ fn main() {
         if trace_path.is_some() {
             fail("checkpoint modes do not record traces");
         }
-        let mut spec = specs.into_iter().next().unwrap();
-        if let Some(s) = seed {
-            spec.seed = s;
-        }
-        if let Some(r) = rounds {
-            spec.rounds = r;
-        }
-        if let Some(t) = threads {
-            spec = spec.threads(t);
-        }
-        if let Some(r) = rebalance {
-            spec = spec.rebalance_every(r);
-        }
-        if let Some(f) = &faults_spec {
-            spec = spec.faults(f.clone());
-        }
+        let spec = specs.into_iter().next().unwrap();
 
         // Capture: run to completion, writing the warm-start file.
         if let (Some(at), Some(path)) = (snapshot_at, &out_snapshot) {
@@ -526,30 +545,7 @@ fn main() {
     }
 
     let mut failures = 0usize;
-    for mut spec in specs {
-        if let Some(s) = seed {
-            spec.seed = s;
-        }
-        if let Some(r) = rounds {
-            spec.rounds = r;
-        }
-        // Worker-thread cap for the sharded backend's parallel round
-        // executor — an execution knob only: delivered sets and reports
-        // (minus the config header) are identical for every value.
-        if let Some(t) = threads {
-            spec = spec.threads(t);
-        }
-        // Topic→shard rebalancing cadence (sharded backend only; 0 =
-        // off). Deterministic: reports are identical for every thread
-        // count at any fixed cadence.
-        if let Some(r) = rebalance {
-            spec = spec.rebalance_every(r);
-        }
-        // Ad-hoc link-fault schedule, armed at the run phase exactly
-        // like a builtin's.
-        if let Some(f) = &faults_spec {
-            spec = spec.faults(f.clone());
-        }
+    for spec in specs {
         let targets: Vec<Target> = match chosen {
             None => spec
                 .supported_backends()

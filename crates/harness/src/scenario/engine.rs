@@ -76,8 +76,18 @@ pub fn builder_for(spec: &ScenarioSpec) -> SystemBuilder {
         .protocol(spec.protocol)
 }
 
-/// Builds the backend and runs the spec on it.
-pub fn run_spec(spec: &ScenarioSpec, kind: BackendKind) -> Result<ScenarioOutcome, String> {
+/// Checks that some backend can run `spec`'s knobs
+/// ([`SystemBuilder::check`]), naming the spec in the error.
+pub fn check_knobs(spec: &ScenarioSpec) -> Result<(), String> {
+    builder_for(spec)
+        .check()
+        .map_err(|e| format!("scenario {:?}: {e}", spec.name))
+}
+
+/// Builds `kind` for `spec`, refusing — before anything is built — a
+/// backend that cannot serve the spec's topic count and knob
+/// combinations no backend can run ([`check_knobs`]).
+pub(crate) fn build_for(spec: &ScenarioSpec, kind: BackendKind) -> Result<Box<dyn PubSub>, String> {
     if !spec.supported(kind) {
         return Err(format!(
             "scenario {:?} needs {} topics; backend {} serves exactly one",
@@ -86,7 +96,13 @@ pub fn run_spec(spec: &ScenarioSpec, kind: BackendKind) -> Result<ScenarioOutcom
             kind.name()
         ));
     }
-    let mut ps = builder_for(spec).build(kind);
+    check_knobs(spec)?;
+    Ok(builder_for(spec).build(kind))
+}
+
+/// Builds the backend and runs the spec on it.
+pub fn run_spec(spec: &ScenarioSpec, kind: BackendKind) -> Result<ScenarioOutcome, String> {
+    let mut ps = build_for(spec, kind)?;
     Ok(execute(ps.as_mut(), spec, budget_multiplier(kind), None))
 }
 
@@ -96,14 +112,7 @@ pub fn run_recorded(
     spec: &ScenarioSpec,
     kind: BackendKind,
 ) -> Result<(ScenarioOutcome, Trace), String> {
-    if !spec.supported(kind) {
-        return Err(format!(
-            "scenario {:?} does not support backend {}",
-            spec.name,
-            kind.name()
-        ));
-    }
-    let mut ps = builder_for(spec).build(kind);
+    let mut ps = build_for(spec, kind)?;
     let mut trace = Trace::new(spec, kind.name());
     let outcome = execute(ps.as_mut(), spec, budget_multiplier(kind), Some(&mut trace));
     Ok((outcome, trace))
@@ -216,14 +225,7 @@ pub fn run_spec_with_snapshot(
     kind: BackendKind,
     at_round: u64,
 ) -> Result<(ScenarioOutcome, WarmStart), String> {
-    if !spec.supported(kind) {
-        return Err(format!(
-            "scenario {:?} does not support backend {}",
-            spec.name,
-            kind.name()
-        ));
-    }
-    let mut ps = builder_for(spec).build(kind);
+    let mut ps = build_for(spec, kind)?;
     let (out, captured) = run_phases(
         ps.as_mut(),
         spec,
@@ -741,6 +743,7 @@ pub(crate) fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::library;
     use crate::scenario::spec::{Burst, BurstKind};
 
     fn small_spec() -> ScenarioSpec {
@@ -794,6 +797,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn rebalancing_with_replicas_is_refused_before_any_backend_is_built() {
+        // Refused on every backend, including the ones that would ignore
+        // the cadence, so a sweep never half-runs such a spec.
+        let spec = library::supervisor_crash_shards().rebalance_every(5);
+        for kind in spec.supported_backends() {
+            let err = run_spec(&spec, kind).expect_err(kind.name());
+            assert!(err.contains("rebalancing"), "{err}");
+            assert!(run_recorded(&spec, kind).is_err(), "{}", kind.name());
+            assert!(
+                run_spec_with_snapshot(&spec, kind, 1).is_err(),
+                "{}",
+                kind.name()
+            );
+        }
+        assert!(run_spec(&spec.clone().rebalance_every(0), BackendKind::Sharded).is_ok());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! spec compiles to the byte-identical remaining schedule — the only
 //! difference between the two runs is the failovers themselves.
 
-use super::engine::{budget_multiplier, builder_for, run_on};
+use super::engine::{budget_multiplier, build_for, run_on};
 use super::spec::ScenarioSpec;
 use skippub_core::{BackendKind, PubSub, TopicId};
 use std::fmt::Write as _;
@@ -148,17 +148,9 @@ pub fn run_supervisor_crash(
             spec.name
         ));
     }
-    if !spec.supported(kind) {
-        return Err(format!(
-            "scenario {:?} needs {} topics; backend {} serves exactly one",
-            spec.name,
-            spec.topics,
-            kind.name()
-        ));
-    }
     let mult = budget_multiplier(kind);
 
-    let mut crash_ps = builder_for(spec).build(kind);
+    let mut crash_ps = build_for(spec, kind)?;
     let crash_out = run_on(crash_ps.as_mut(), spec, mult);
     let failovers = crash_ps.supervisor_failovers();
     let digests: Vec<String> = (0..spec.topics)
@@ -167,7 +159,7 @@ pub fn run_supervisor_crash(
 
     let mut baseline = spec.clone();
     baseline.sup_crashes.clear();
-    let mut base_ps = builder_for(&baseline).build(kind);
+    let mut base_ps = build_for(&baseline, kind)?;
     let base_out = run_on(base_ps.as_mut(), &baseline, mult);
     let baseline_digests: Vec<String> = (0..spec.topics)
         .map(|t| topic_digest(base_ps.as_ref(), TopicId(t)))

@@ -22,7 +22,7 @@
 //! `crash_supervisor` anywhere in the schedule), and the oracle counts
 //! `failovers == severed-primary windows`.
 
-use super::engine::{budget_multiplier, builder_for, run_on};
+use super::engine::{budget_multiplier, build_for, run_on};
 use super::spec::ScenarioSpec;
 use skippub_core::pubsub::SHARD_SUPERVISOR_BASE;
 use skippub_core::BackendKind;
@@ -181,14 +181,6 @@ pub fn run_fault_storm(
     if faults.rules.is_empty() && faults.severs.is_empty() {
         return Err(format!("scenario {:?} has an empty fault schedule", spec.name));
     }
-    if !spec.supported(kind) {
-        return Err(format!(
-            "scenario {:?} needs {} topics; backend {} serves exactly one",
-            spec.name,
-            spec.topics,
-            kind.name()
-        ));
-    }
     let endpoints = supervisor_endpoints(spec, kind);
     let severs_supervisor = faults
         .severs
@@ -203,13 +195,13 @@ pub fn run_fault_storm(
     }
     let mult = budget_multiplier(kind);
 
-    let mut faulted_ps = builder_for(spec).build(kind);
+    let mut faulted_ps = build_for(spec, kind)?;
     let faulted_out = run_on(faulted_ps.as_mut(), spec, mult);
     let failovers = faulted_ps.supervisor_failovers();
     let fault_counts = faulted_ps.fault_counts();
 
     let baseline = spec.without_faults();
-    let mut base_ps = builder_for(&baseline).build(kind);
+    let mut base_ps = build_for(&baseline, kind)?;
     let base_out = run_on(base_ps.as_mut(), &baseline, mult);
 
     let fr = &faulted_out.report;

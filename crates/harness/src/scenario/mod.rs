@@ -57,7 +57,7 @@ pub mod spec;
 pub mod trace;
 
 pub use engine::{
-    budget_multiplier, builder_for, resume_spec, run_on, run_recorded, run_spec,
+    budget_multiplier, builder_for, check_knobs, resume_spec, run_on, run_recorded, run_spec,
     run_spec_with_snapshot, run_threaded, DeliveredItem, DeliveredSet, ScenarioOutcome, WarmStart,
 };
 pub use failover::{run_supervisor_crash, FailoverReport};

@@ -152,6 +152,9 @@ pub struct ScenarioSpec {
     /// the per-partition delivered-work counters (`0` = placement is
     /// fixed by the consistent-hash ring). Deterministic and
     /// thread-count-invariant; ignored by single-supervisor backends.
+    /// Excludes `replicas ≥ 2` ([`SystemBuilder::check`]).
+    ///
+    /// [`SystemBuilder::check`]: skippub_core::SystemBuilder::check
     pub rebalance_every: u64,
     /// Scheduled supervisor-primary crashes, as `(round, topic)`: at
     /// the start of `round` the primary replica of the supervisor group

@@ -297,6 +297,7 @@ impl Trace {
             .replicas(self.replicas)
             .rebalance_every(self.rebalance_every)
             .protocol(self.protocol);
+        builder.check()?;
         let mut ps = builder.build(kind);
         self.replay_on(ps.as_mut())
     }
@@ -521,6 +522,14 @@ mod tests {
     fn replay_rejects_unknown_backend() {
         let (_, mut trace) = run_recorded(&spec(), BackendKind::Sim).unwrap();
         trace.backend = "threaded".into();
+        assert!(trace.replay().is_err());
+    }
+
+    #[test]
+    fn replay_rejects_rebalancing_with_replicas() {
+        let (_, mut trace) = run_recorded(&spec(), BackendKind::Sharded).unwrap();
+        trace.replicas = 3;
+        trace.rebalance_every = 5;
         assert!(trace.replay().is_err());
     }
 

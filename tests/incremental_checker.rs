@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use skippub_core::pubsub::{MultiTopicBackend, ShardedBackend, SimBackend};
+use skippub_core::pubsub::{ShardedBackend, SimBackend};
 use skippub_core::{PubSub, SystemBuilder, TopicId};
 use skippub_sim::NodeId;
 
@@ -100,7 +100,7 @@ fn churn_conformance<B: PubSub>(
 fn multi_topic_incremental_matches_full_over_200_churn_rounds() {
     let topics = 8u32;
     let mut ps = SystemBuilder::new(0xC0FFEE).topics(topics).build_multi();
-    churn_conformance(&mut ps, topics, 17, 200, |ps: &MultiTopicBackend| {
+    churn_conformance(&mut ps, topics, 17, 200, |ps: &ShardedBackend| {
         (ps.is_legitimate_full(), ps.publications_converged_full())
     });
 }
@@ -192,7 +192,7 @@ proptest! {
     fn incremental_matches_full_for_random_seeds(seed in any::<u64>()) {
         let topics = 5u32;
         let mut ps = SystemBuilder::new(seed).topics(topics).build_multi();
-        churn_conformance(&mut ps, topics, seed ^ 0x55, 60, |ps: &MultiTopicBackend| {
+        churn_conformance(&mut ps, topics, seed ^ 0x55, 60, |ps: &ShardedBackend| {
             (ps.is_legitimate_full(), ps.publications_converged_full())
         });
         let mut ps = SystemBuilder::new(seed)
